@@ -13,7 +13,7 @@ constexpr std::uint8_t kCheckpoint = 3;
 }  // namespace
 
 GdpKvStore::GdpKvStore(harness::Scenario& scenario, client::GdpClient& client,
-                       Options options, harness::CapsuleSetup setup,
+                       MountOptions options, harness::CapsuleSetup setup,
                        std::optional<capsule::Writer> writer)
     : scenario_(scenario),
       client_(client),
@@ -22,34 +22,28 @@ GdpKvStore::GdpKvStore(harness::Scenario& scenario, client::GdpClient& client,
       writer_(std::move(writer)) {}
 
 Result<GdpKvStore> GdpKvStore::mount(const Mount& m) {
-  Options options;
-  options.checkpoint_interval = m.options().checkpoint_interval;
-  options.required_acks = m.options().required_acks;
-  if (m.creates()) {
-    return create(m.scenario(), m.client(), m.servers(), m.label(), options);
+  MountOptions options = m.options();
+  if (!m.creates()) {
+    // Open-existing: a read-only recovered view (the capsule is
+    // strict-single-writer; only the creating mount holds its writer key).
+    harness::CapsuleSetup setup{nullptr, nullptr, m.existing(), "chain"};
+    GdpKvStore store(m.scenario(), m.client(), options, std::move(setup),
+                     std::nullopt);
+    GDP_RETURN_IF_ERROR(store.recover(m.existing()));
+    return store;
   }
-  // Open-existing: a read-only recovered view (the capsule is
-  // strict-single-writer; only the creating mount holds its writer key).
-  harness::CapsuleSetup setup{nullptr, nullptr, m.existing(), "chain"};
-  GdpKvStore store(m.scenario(), m.client(), options, std::move(setup),
-                   std::nullopt);
-  GDP_RETURN_IF_ERROR(store.recover(m.existing()));
-  return store;
-}
-
-Result<GdpKvStore> GdpKvStore::create(harness::Scenario& scenario,
-                                      client::GdpClient& client,
-                                      std::vector<server::CapsuleServer*> servers,
-                                      const std::string& label, Options options) {
   if (options.checkpoint_interval == 0) options.checkpoint_interval = 1;
   // Align the hash-pointer strategy with the snapshot cadence: every
   // record carries a pointer to the latest checkpoint record.
   harness::CapsuleSetup setup = harness::make_capsule(
-      scenario.key_rng(), "kv:" + label, capsule::WriterMode::kStrictSingleWriter,
+      m.scenario().key_rng(), "kv:" + m.label(),
+      capsule::WriterMode::kStrictSingleWriter,
       "checkpoint:" + std::to_string(options.checkpoint_interval + 1));
-  GDP_RETURN_IF_ERROR(harness::place_capsule(scenario, setup, client, servers));
+  GDP_RETURN_IF_ERROR(
+      harness::place_capsule(m.scenario(), setup, m.client(), m.servers()));
   capsule::Writer writer = setup.make_writer();
-  return GdpKvStore(scenario, client, options, std::move(setup), std::move(writer));
+  return GdpKvStore(m.scenario(), m.client(), options, std::move(setup),
+                    std::move(writer));
 }
 
 Status GdpKvStore::append_op(Bytes payload) {

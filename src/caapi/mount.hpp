@@ -7,9 +7,8 @@
 // Mount names the attachment once: the transport context (scenario,
 // client, replica set), whether the capsule is being created fresh or an
 // existing one is being opened, and the cross-CAAPI policy knobs
-// (durability acks, sync policy, chunking).  Each CAAPI exposes
-// `mount(const Mount&)`; the old `create(...)` statics survive as thin
-// deprecated shims.
+// (durability acks, chunking, checkpoints, concurrency).  Each CAAPI
+// exposes `mount(const Mount&)`.
 #pragma once
 
 #include <optional>
@@ -26,12 +25,6 @@ namespace gdp::caapi {
 struct MountOptions {
   /// §VI-B durability mode for every write issued through the mount.
   std::uint32_t required_acks = 1;
-  /// Sync policy: when true, reads that answer from a locally cached view
-  /// (fs exists/list/read_file, …) refresh from the capsule tip first, so
-  /// one client observes another client's committed writes without an
-  /// explicit refresh() call.  When false, reads serve the cached view
-  /// (the pre-mount behavior).
-  bool tip_aware_reads = true;
   /// fs: file-content chunking.
   std::size_t chunk_bytes = 256 * 1024;
   /// kv: ops between checkpoint snapshots.

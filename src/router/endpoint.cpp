@@ -9,6 +9,8 @@ Endpoint::Endpoint(net::Network& net, const crypto::PrivateKey& key,
     : net_(net),
       key_(key),
       self_(trust::Principal::create(key, role, std::move(label))),
+      reattach_count_(net_.metrics().counter(
+          "endpoint." + std::string(self_.label()) + ".reattaches")),
       recv_pdus_(net_.metrics().counter(
           "endpoint." + std::string(self_.label()) + ".recv.pdus")),
       drop_bad_challenge_(net_.metrics().counter(
@@ -16,9 +18,7 @@ Endpoint::Endpoint(net::Network& net, const crypto::PrivateKey& key,
       drop_malformed_(net_.metrics().counter(
           "endpoint." + std::string(self_.label()) + ".drop.malformed")),
       drop_not_attached_(net_.metrics().counter(
-          "endpoint." + std::string(self_.label()) + ".drop.not_attached")),
-      reattach_count_(net_.metrics().counter(
-          "endpoint." + std::string(self_.label()) + ".reattaches")) {
+          "endpoint." + std::string(self_.label()) + ".drop.not_attached")) {
   net_.attach(self_.name(), this);
 }
 

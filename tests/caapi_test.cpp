@@ -51,9 +51,9 @@ TEST(Filesystem, WriteReadRoundTrip) {
 
 TEST(Filesystem, MultiChunkFiles) {
   World w(101);
-  GdpFilesystem::Options opts;
+  MountOptions opts;
   opts.chunk_bytes = 128;  // force many chunks
-  auto fs = GdpFilesystem::create(w.s, *w.app, {w.srv}, "chunked", opts);
+  auto fs = GdpFilesystem::mount(Mount::create(w.s, *w.app, {w.srv}, "chunked", opts));
   ASSERT_TRUE(fs.ok());
   Rng rng(6);
   Bytes big = rng.next_bytes(1000);  // 8 chunks
@@ -118,7 +118,7 @@ TEST(Filesystem, RefreshSeesCommittedState) {
 
 TEST(KvStore, PutGetDel) {
   World w(200);
-  auto kv = GdpKvStore::create(w.s, *w.app, {w.srv}, "kv");
+  auto kv = GdpKvStore::mount(Mount::create(w.s, *w.app, {w.srv}, "kv"));
   ASSERT_TRUE(kv.ok()) << kv.error().to_string();
   ASSERT_TRUE(kv->put("alpha", "1").ok());
   ASSERT_TRUE(kv->put("beta", "2").ok());
@@ -134,9 +134,9 @@ TEST(KvStore, PutGetDel) {
 
 TEST(KvStore, RecoveryFromCheckpointIsBounded) {
   World w(201);
-  GdpKvStore::Options opts;
+  MountOptions opts;
   opts.checkpoint_interval = 8;
-  auto kv = GdpKvStore::create(w.s, *w.app, {w.srv}, "ckpt", opts);
+  auto kv = GdpKvStore::mount(Mount::create(w.s, *w.app, {w.srv}, "ckpt", opts));
   ASSERT_TRUE(kv.ok());
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(kv->put("key-" + std::to_string(i % 13), std::to_string(i)).ok());
@@ -144,7 +144,8 @@ TEST(KvStore, RecoveryFromCheckpointIsBounded) {
 
   auto* reader = w.s.add_client("recoverer", w.r1);
   w.s.attach_all();
-  auto fresh = GdpKvStore::create(w.s, *reader, {w.srv}, "scratch", opts);
+  auto fresh =
+      GdpKvStore::mount(Mount::create(w.s, *reader, {w.srv}, "scratch", opts));
   ASSERT_TRUE(fresh.ok());
   auto fetched = fresh->recover(kv->metadata());
   ASSERT_TRUE(fetched.ok()) << fetched.error().to_string();
@@ -159,15 +160,16 @@ TEST(KvStore, RecoveryFromCheckpointIsBounded) {
 
 TEST(KvStore, RecoveryBeforeFirstCheckpoint) {
   World w(202);
-  GdpKvStore::Options opts;
+  MountOptions opts;
   opts.checkpoint_interval = 50;
-  auto kv = GdpKvStore::create(w.s, *w.app, {w.srv}, "young", opts);
+  auto kv = GdpKvStore::mount(Mount::create(w.s, *w.app, {w.srv}, "young", opts));
   ASSERT_TRUE(kv.ok());
   ASSERT_TRUE(kv->put("only", "value").ok());
 
   auto* reader = w.s.add_client("recoverer2", w.r1);
   w.s.attach_all();
-  auto fresh = GdpKvStore::create(w.s, *reader, {w.srv}, "scratch2", opts);
+  auto fresh =
+      GdpKvStore::mount(Mount::create(w.s, *reader, {w.srv}, "scratch2", opts));
   ASSERT_TRUE(fresh.ok());
   ASSERT_TRUE(fresh->recover(kv->metadata()).ok());
   EXPECT_EQ(fresh->get("only"), "value");
@@ -415,9 +417,10 @@ TEST(Filesystem, SurvivesReplicaCrash) {
   auto* app = s.add_client("app", r1);
   s.attach_all();
 
-  GdpFilesystem::Options opts;
+  MountOptions opts;
   opts.required_acks = 2;  // durable writes across both replicas
-  auto fs = GdpFilesystem::create(s, *app, {srv1, srv2}, "replicated-fs", opts);
+  auto fs = GdpFilesystem::mount(
+      Mount::create(s, *app, {srv1, srv2}, "replicated-fs", opts));
   ASSERT_TRUE(fs.ok()) << fs.error().to_string();
   Rng rng(9);
   Bytes doc = rng.next_bytes(5000);

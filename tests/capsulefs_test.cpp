@@ -87,17 +87,12 @@ TEST(MountApi, FilesystemCreateWriteReadTree) {
   EXPECT_EQ(fs->list(), (std::vector<std::string>{"docs/README"}));
 }
 
-TEST(MountApi, DeprecatedCreateShimsStillWork) {
+TEST(MountApi, FilesystemCreateWithDefaults) {
   World w(301);
-  auto fs = GdpFilesystem::create(w.s, *w.alice, {w.srv1}, "legacy-fs");
+  auto fs = GdpFilesystem::create(w.s, *w.alice, {w.srv1}, "defaults-fs");
   ASSERT_TRUE(fs.ok()) << fs.error().to_string();
-  ASSERT_TRUE(fs->write_file("f", to_bytes("legacy")).ok());
-  EXPECT_EQ(to_string(*fs->read_file("f")), "legacy");
-
-  auto kv = GdpKvStore::create(w.s, *w.alice, {w.srv1}, "legacy-kv");
-  ASSERT_TRUE(kv.ok());
-  ASSERT_TRUE(kv->put("k", "v").ok());
-  EXPECT_EQ(kv->get("k"), "v");
+  ASSERT_TRUE(fs->write_file("f", to_bytes("defaults")).ok());
+  EXPECT_EQ(to_string(*fs->read_file("f")), "defaults");
 }
 
 TEST(MountApi, KvCreateAndReadOnlyOpen) {
@@ -206,28 +201,6 @@ TEST(CapsuleFs, TwoClientStaleReadRegression) {
             (std::vector<std::string>{"from-bob.txt"}));
   EXPECT_EQ(to_string(*owner->read_file("from-bob.txt")), "hello");
   EXPECT_EQ(owner->tree_digest(), bob_fs->tree_digest());
-}
-
-TEST(CapsuleFs, CacheOnlyModeKeepsOldBehavior) {
-  World w(311);
-  MountOptions stale;
-  stale.tip_aware_reads = false;
-  auto owner = GdpFilesystem::mount(
-      Mount::create(w.s, *w.alice, w.servers(), "stale", stale));
-  ASSERT_TRUE(owner.ok());
-
-  crypto::PrivateKey bob_key = crypto::PrivateKey::generate(w.s.key_rng());
-  auto credential = owner->grant_writer(bob_key.public_key(), "bob");
-  ASSERT_TRUE(credential.ok());
-  auto bob_fs = GdpFilesystem::mount(
-      Mount::open(w.s, *w.bob, w.servers(), owner->directory_metadata()),
-      *credential, std::move(bob_key));
-  ASSERT_TRUE(bob_fs.ok());
-
-  ASSERT_TRUE(bob_fs->write_file("f", to_bytes("x")).ok());
-  EXPECT_FALSE(owner->exists("f"));  // cached view: stale until refresh
-  ASSERT_TRUE(owner->refresh().ok());
-  EXPECT_TRUE(owner->exists("f"));
 }
 
 TEST(CapsuleFs, ReadOnlyMountCannotWrite) {
